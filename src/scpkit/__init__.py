@@ -6,9 +6,9 @@ mates, and verify every claimed correlation property with exact
 arithmetic over roots of unity.
 
 All types are immutable values and every operation is a pure function of
-its arguments, so instances can be shared freely across threads; sweeps
-parallelize over parameter cells with schedule-independent results (the
-per-cell seeds derive from the cell identity).
+its arguments, so instances can be shared freely across threads.  Sweep
+results do not depend on the order the cells are visited in: the per-cell
+seeds derive from the cell identity.
 """
 
 from .construct import (

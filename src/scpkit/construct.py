@@ -24,6 +24,7 @@ from .rgbf import (
     GeneralizedBooleanFunction,
     Restriction,
     SparseSequence,
+    require_even_alphabet,
     restricted_sequence,
 )
 
@@ -49,8 +50,7 @@ class ScpParams:
     g: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.q < 2 or self.q % 2:
-            raise ValueError(f"alphabet size must be even and >= 2, got q={self.q}")
+        require_even_alphabet(self.q)
         if self.m < 1:
             raise ValueError(f"need at least one variable, got m={self.m}")
         if not 0 <= self.t <= self.m - 1:

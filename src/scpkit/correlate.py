@@ -3,14 +3,36 @@
 Correlation values are integer combinations of roots of unity.  Sums of
 roots of unity can vanish nontrivially (1 + xi^2 = 0 over q = 4), so a
 floating-point comparison cannot certify a zero.  Values are therefore
-kept as integer coefficient vectors (:class:`CyclotomicInt`) and the zero
-test reduces the coefficient polynomial modulo the q-th cyclotomic
-polynomial: the value is zero exactly when the remainder vanishes.  For q
-a power of two the cyclotomic polynomial is x^(q/2) + 1 and the reduction
-collapses to a single fold, which is the fast path.
+kept as integer counts c_e of xi^e, never as floats.
 
-Coefficients stay below the sequence length, so plain Python integers are
-never close to overflowing anything; no big-number care is needed.
+One kernel, :func:`correlation_columns`, computes every shift at once as
+q count columns: ``cols[k][u + L - 1]`` is the number of support pairs at
+shift u whose exponent difference is k mod q.  It picks one of two paths
+from the input sizes alone:
+
+* Kronecker substitution, when the support products are many against the
+  packed digits (2L - 1)(2q - 1): the loop costs one interpreted step per
+  product, the big-int product of n-byte operands about n^log2(3) machine
+  steps (Karatsuba).  Each sequence becomes one big integer in which
+  position i is a block of 2q - 1 byte-aligned digits and exponent e a
+  digit inside the block; the second sequence is reversed and conjugated.
+  One CPython big-int product then holds every count.  A digit is wide
+  enough for min(|supp a|, |supp b|), the most pairs one shift can have,
+  so no count carries into its neighbour.  Digits are read back through
+  ``to_bytes``, never through ``str``, whose conversion is capped at
+  ``sys.get_int_max_str_digits()`` digits.
+* The support-pair loop otherwise, O(|supp a| * |supp b|), for long
+  sequences with small supports.
+
+Zero is decided by one exact rule: the counts are reduced modulo the
+q-th cyclotomic polynomial Phi_q with cached rows x^e mod Phi_q, and the
+value is zero exactly when the remainder vanishes.  For q a power of two,
+Phi_q = x^(q/2) + 1 and the reduction is the fold c_e - c_{e+q/2}.  The
+rule runs on whole columns (:func:`nonzero_mask`) and on single values
+(:meth:`CyclotomicInt.is_zero`) through the same code.
+
+:func:`cross_correlation` is the defining sum at one shift, the reference
+the kernel is checked against.
 """
 
 from __future__ import annotations
@@ -18,11 +40,18 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+import sys
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import IO, Mapping
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import add, mul, or_, sub
+from typing import IO, Mapping, Sequence
 
-from .rgbf import SparseSequence
+from .rgbf import SparseSequence, require_even_alphabet
+
+# Count columns of one correlation; see correlation_columns.
+Columns = list[list[int]]
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -41,19 +70,6 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return quot
 
 
-def _poly_mod(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Remainder of num modulo monic den."""
-    num = list(num)
-    shift = len(den) - 1
-    for i in range(len(num) - 1, shift - 1, -1):
-        c = num[i]
-        if c:
-            num[i] = 0
-            for k in range(shift):
-                num[i - shift + k] -= c * den[k]
-    return num[:shift]
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, constant first.
@@ -70,6 +86,45 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
+def _reduction_rows(q: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rows x^e mod Phi_q for e < q, transposed for work on columns.
+
+    Entry j lists each (e, w) where x^e mod Phi_q has the coefficient
+    w != 0 at x^j, e ascending.  The first is (j, 1): x^j is its own
+    remainder for j < deg Phi_q.
+    """
+    phi = cyclotomic_polynomial(q)
+    deg = len(phi) - 1
+    rows = [[1] + [0] * (deg - 1)]
+    for _ in range(q - 1):
+        top = rows[-1][-1]
+        row = [0] + rows[-1][:-1]
+        # x^deg = -(phi_0 + phi_1 x + ... + phi_{deg-1} x^(deg-1))
+        rows.append([r - top * c for r, c in zip(row, phi)])
+    return tuple(
+        tuple((e, rows[e][j]) for e in range(q) if rows[e][j]) for j in range(deg)
+    )
+
+
+def nonzero_mask(cols: Sequence[Sequence[int]], q: int) -> list[int]:
+    """Per index, a value that is truthy exactly when sum_e cols[e] xi^e != 0.
+
+    The exact zero rule: each column of the remainder modulo Phi_q is a
+    signed sum of count columns, and the value is zero where all of them
+    are.  Works on columns of any common length.
+    """
+    remainder = []
+    for (j, _), *terms in _reduction_rows(q):
+        acc = cols[j]
+        for e, w in terms:
+            col = cols[e] if abs(w) == 1 else map(mul, cols[e], repeat(abs(w)))
+            acc = list(map(add if w > 0 else sub, acc, col))
+        remainder.append(acc)
+    # bitwise or of integers is zero exactly when every operand is
+    return reduce(lambda x, y: list(map(or_, x, y)), remainder)
+
+
 @dataclass(frozen=True)
 class CyclotomicInt:
     """An integer combination sum_e counts[e] * xi^e of q-th roots of unity.
@@ -82,8 +137,7 @@ class CyclotomicInt:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.q < 2 or self.q % 2:
-            raise ValueError(f"alphabet size must be even and >= 2, got q={self.q}")
+        require_even_alphabet(self.q)
         counts = tuple(self.counts)
         if len(counts) != self.q:
             raise ValueError(f"need {self.q} coefficients, got {len(counts)}")
@@ -132,13 +186,7 @@ class CyclotomicInt:
 
     def is_zero(self) -> bool:
         """Exact zero test via reduction modulo the q-th cyclotomic polynomial."""
-        q = self.q
-        if q & (q - 1) == 0:
-            # power of two: xi^(q/2) = -1, so fold the upper half down
-            half = q // 2
-            return all(self.counts[e] == self.counts[e + half] for e in range(half))
-        rem = _poly_mod(list(self.counts), cyclotomic_polynomial(q))
-        return not any(rem)
+        return not nonzero_mask([(c,) for c in self.counts], self.q)[0]
 
     def to_complex(self) -> complex:
         """Floating embedding, for display and cross-checks only."""
@@ -162,23 +210,21 @@ def _require_compatible(a: SparseSequence, b: SparseSequence) -> None:
 def cross_correlation(a: SparseSequence, b: SparseSequence, u: int) -> CyclotomicInt:
     """Aperiodic cross-correlation of a against b at shift u, exactly.
 
-    For u >= 0 this is sum_i a[i+u] * conj(b[i]) over the overlap; zero
-    entries contribute nothing.  Negative shifts use the conjugate
-    symmetry rho(a, b; u) = conj(rho(b, a; -u)) so there is a single
-    summation code path (the identity itself is checked by
-    :func:`conj_symmetry_check`).
+    The defining sum over the overlap: sum_i a[i+u] * conj(b[i]) for
+    u >= 0 and sum_i a[i] * conj(b[i-u]) for u < 0; zero entries
+    contribute nothing.
     """
     _require_compatible(a, b)
     L = len(a)
     if abs(u) >= L:
         raise ValueError(f"shift {u} out of range for length {L}")
-    if u < 0:
-        return cross_correlation(b, a, -u).conjugate()
     q = a.q
     counts = [0] * q
-    for i in range(L - u):
-        ea = a.entries[i + u]
-        eb = b.entries[i]
+    if u >= 0:
+        pairs = zip(a.entries[u:], b.entries)
+    else:
+        pairs = zip(a.entries, b.entries[-u:])
+    for ea, eb in pairs:
         if ea is not None and eb is not None:
             counts[(ea - eb) % q] += 1
     return CyclotomicInt(q, tuple(counts))
@@ -189,59 +235,130 @@ def autocorrelation(a: SparseSequence, u: int) -> CyclotomicInt:
     return cross_correlation(a, a, u)
 
 
-def _cross_correlation_direct(a: SparseSequence, b: SparseSequence, u: int) -> CyclotomicInt:
-    # Both branches of the defining sum, written out without the symmetry
-    # shortcut; kept as the reference the public path is checked against.
-    _require_compatible(a, b)
-    L = len(a)
-    if abs(u) >= L:
-        raise ValueError(f"shift {u} out of range for length {L}")
-    q = a.q
-    counts = [0] * q
-    if u >= 0:
-        pairs = ((a.entries[i + u], b.entries[i]) for i in range(L - u))
-    else:
-        pairs = ((a.entries[i], b.entries[i - u]) for i in range(L + u))
-    for ea, eb in pairs:
-        if ea is not None and eb is not None:
-            counts[(ea - eb) % q] += 1
-    return CyclotomicInt(q, tuple(counts))
-
-
 def conj_symmetry_check(a: SparseSequence, b: SparseSequence) -> bool:
     """Exact check of rho(a, b; u) == conj(rho(b, a; -u)) at every shift.
 
-    Both sides are evaluated directly from the two-branch definition, so
-    this really exercises the identity instead of the shortcut built on it.
+    Both sides come from the defining sum, one from each of its branches.
     """
     _require_compatible(a, b)
     L = len(a)
     for u in range(-(L - 1), L):
-        lhs = _cross_correlation_direct(a, b, u)
-        rhs = _cross_correlation_direct(b, a, -u).conjugate()
+        lhs = cross_correlation(a, b, u)
+        rhs = cross_correlation(b, a, -u).conjugate()
         if not (lhs - rhs).is_zero():
             return False
     return True
 
 
-def correlation_profile(a: SparseSequence, b: SparseSequence) -> CorrelationProfile:
-    """All shifts at once, in one pass over the non-zero support pairs.
+def correlation_columns(a: SparseSequence, b: SparseSequence) -> Columns:
+    """Every shift's counts at once, as q columns of length 2L - 1.
 
-    A support pair (j in a, i in b) contributes xi^(e_a - e_b) to shift
-    u = j - i, which reproduces both branches of the definition.  Cost is
-    O(|support(a)| * |support(b)|) for the entire profile.
+    ``cols[k][u + L - 1]`` counts the support pairs (j in a, i in b) with
+    j - i = u and e_a - e_b = k mod q, so rho(a, b; u) is
+    sum_k cols[k][u + L - 1] xi^k.  Both paths give the same columns; the
+    cheaper one is picked from the sizes (see _KRONECKER_BREAK_EVEN).
     """
     _require_compatible(a, b)
-    q = a.q
-    L = len(a)
-    table = [[0] * q for _ in range(2 * L - 1)]
-    support_b = b.support()
-    for j, ea in a.support():
-        base = j + L - 1
-        for i, eb in support_b:
-            table[base - i][(ea - eb) % q] += 1
+    L, q = len(a), a.q
+    support_a = a.support()
+    support_b = support_a if b is a else b.support()
+    products = len(support_a) * len(support_b)
+    width = array(_digit_code(support_a, support_b)).itemsize
+    packed_bytes = (2 * L - 1) * (2 * q - 1) * width
+    if _KRONECKER_BREAK_EVEN * products > packed_bytes**_KARATSUBA_EXPONENT:
+        return _kronecker_columns(support_a, support_b, L, q)
+    return _loop_columns(support_a, support_b, L, q)
+
+
+# The loop costs about one interpreted step per support product, the
+# big-int product of two n-byte operands about n^log2(3) machine steps
+# (Karatsuba).  The Kronecker path is taken when _KRONECKER_BREAK_EVEN
+# times the products exceeds packed_bytes^log2(3).  The constant was
+# measured on CPython 3.11, x86-64, over L = 64..16,384, q in
+# {2, 4, 6, 12} and densities 1%..100%.
+_KARATSUBA_EXPONENT = math.log2(3)
+_KRONECKER_BREAK_EVEN = 128
+
+
+def _digit_code(
+    support_a: Sequence[tuple[int, int]], support_b: Sequence[tuple[int, int]]
+) -> str:
+    """Array typecode of the packed digits.
+
+    One shift pairs each entry of the smaller support at most once, so a
+    digit never exceeds min(|supp a|, |supp b|) and never carries.
+    """
+    bits = min(len(support_a), len(support_b)).bit_length()
+    return next(c for c in "BHILQ" if array(c).itemsize * 8 >= bits)
+
+
+def _loop_columns(
+    support_a: Sequence[tuple[int, int]],
+    support_b: Sequence[tuple[int, int]],
+    L: int,
+    q: int,
+) -> Columns:
+    """The support-pair loop, writing into one flat list of q columns."""
+    n = 2 * L - 1
+    flat = [0] * (q * n)
+    # offsets[ea]: flat index of each b entry's pair with an a entry of
+    # exponent ea at position 0; position j adds j.
+    offsets = [
+        [((ea - eb) % q) * n + L - 1 - i for i, eb in support_b] for ea in range(q)
+    ]
+    for j, ea in support_a:
+        for x in offsets[ea]:
+            flat[x + j] += 1
+    return [flat[k * n : (k + 1) * n] for k in range(q)]
+
+
+def _kronecker_columns(
+    support_a: Sequence[tuple[int, int]],
+    support_b: Sequence[tuple[int, int]],
+    L: int,
+    q: int,
+) -> Columns:
+    """Kronecker substitution: one big-int product gives every count.
+
+    Position j of a with exponent e is digit j(2q-1) + e; position i of b,
+    reversed and conjugated, is digit (L-1-i)(2q-1) + q-1-e.  Digit d of
+    block s of the product then counts the pairs at shift s - (L-1) with
+    exponent difference d - (q-1).
+    """
+    n = 2 * L - 1
+    code = _digit_code(support_a, support_b)
+    width = array(code).itemsize
+    block = 2 * q - 1
+    packed_a = bytearray(L * block * width)
+    packed_b = bytearray(L * block * width)
+    # little-endian digits: a digit holding 1 has it in its first byte
+    for j, e in support_a:
+        packed_a[(j * block + e) * width] = 1
+    for i, e in support_b:
+        packed_b[((L - 1 - i) * block + q - 1 - e) * width] = 1
+    product = int.from_bytes(packed_a, "little") * int.from_bytes(packed_b, "little")
+    digits = array(code, product.to_bytes(n * block * width, "little"))
+    if sys.byteorder == "big":
+        digits.byteswap()
+    # difference k >= 0 sits at digit q-1+k, difference k-q at digit k-1
+    cols = [digits[q - 1 :: block].tolist()]
+    for k in range(1, q):
+        cols.append(list(map(add, digits[q - 1 + k :: block], digits[k - 1 :: block])))
+    return cols
+
+
+def correlation_profile(a: SparseSequence, b: SparseSequence) -> CorrelationProfile:
+    """The exact value at every shift u in -(L-1)..L-1.
+
+    Built from :func:`correlation_columns`; a support pair (j in a, i in
+    b) contributes xi^(e_a - e_b) to shift u = j - i, which reproduces both
+    branches of the definition.
+    """
+    cols = correlation_columns(a, b)
+    L, q = len(a), a.q
     return {
-        u: CyclotomicInt(q, tuple(table[u + L - 1])) for u in range(-(L - 1), L)
+        u: CyclotomicInt(q, counts)
+        for u, counts in zip(range(-(L - 1), L), zip(*cols))
     }
 
 
@@ -254,8 +371,10 @@ def write_profile_csv(out: IO[str], profiles: Mapping[str, CorrelationProfile]) 
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["profile", "u", "re", "im", "magnitude", "is_exact_zero"])
     for name, profile in profiles.items():
-        for u in sorted(profile):
-            value = profile[u]
+        shifts = sorted(profile)
+        values = [profile[u] for u in shifts]
+        nonzero = nonzero_mask(list(zip(*(v.counts for v in values))), values[0].q)
+        for u, value, flag in zip(shifts, values, nonzero):
             z = value.to_complex()
             writer.writerow(
                 [
@@ -264,6 +383,6 @@ def write_profile_csv(out: IO[str], profiles: Mapping[str, CorrelationProfile]) 
                     f"{z.real:.12g}",
                     f"{z.imag:.12g}",
                     f"{abs(z):.12g}",
-                    int(value.is_zero()),
+                    int(not flag),
                 ]
             )

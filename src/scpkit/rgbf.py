@@ -22,6 +22,15 @@ from typing import Iterable, Optional, Sequence
 Entry = Optional[int]  # None is a zero entry; an int e stands for exp(2*pi*j*e/q)
 
 
+def require_even_alphabet(q: int) -> None:
+    """Reject alphabet sizes the pair constructions cannot use.
+
+    The constructions phase-shift by q/2, so q must be even and at least 2.
+    """
+    if q < 2 or q % 2:
+        raise ValueError(f"alphabet size must be even and >= 2, got q={q}")
+
+
 @dataclass(frozen=True)
 class GeneralizedBooleanFunction:
     """A function from m binary variables into Z_q, stored as monomials.
@@ -41,8 +50,7 @@ class GeneralizedBooleanFunction:
     terms: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.q < 2 or self.q % 2:
-            raise ValueError(f"alphabet size must be even and >= 2, got q={self.q}")
+        require_even_alphabet(self.q)
         if self.m < 1:
             raise ValueError(f"need at least one variable, got m={self.m}")
         norm = []
@@ -140,8 +148,7 @@ class SparseSequence:
     entries: tuple[Entry, ...]
 
     def __post_init__(self) -> None:
-        if self.q < 2 or self.q % 2:
-            raise ValueError(f"alphabet size must be even and >= 2, got q={self.q}")
+        require_even_alphabet(self.q)
         entries = tuple(
             None if e is None else e % self.q for e in self.entries
         )
@@ -234,9 +241,21 @@ def truncate(s: SparseSequence, k0: int, k1: int) -> SparseSequence:
 
 
 def restricted_sequence(f: GeneralizedBooleanFunction, r: Restriction) -> SparseSequence:
-    """Restrict f by r and trim the leading and trailing zero runs."""
+    """Restrict f by r and trim the leading and trailing zero runs.
+
+    Equal to ``truncate(restrict(f, r), *truncation_bounds(r, f.m))``, but
+    only the 2^(m-t) support entries are evaluated: table index k0 + s for
+    every subset sum s of the free variables' bit weights.
+    """
     k0, k1 = truncation_bounds(r, f.m)
-    return truncate(restrict(f, r), k0, k1)
+    offsets = [0]
+    for v in range(1, f.m + 1):
+        if v not in r.indices:
+            offsets += [s + (1 << (v - 1)) for s in offsets]
+    entries: list[Entry] = [None] * (k1 - k0 + 1)
+    for s in offsets:
+        entries[s] = f.evaluate_index(k0 + s)
+    return SparseSequence(f.q, tuple(entries))
 
 
 def _check_against(r: Restriction, m: int) -> None:

@@ -29,7 +29,9 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from functools import partial, reduce
+from itertools import compress, permutations, product
+from operator import add, or_
 from typing import Iterable, Sequence
 
 from .construct import (
@@ -39,11 +41,7 @@ from .construct import (
     construct_scp,
     params_from_restricted_set,
 )
-from .correlate import (
-    CorrelationProfile,
-    CyclotomicInt,
-    correlation_profile,
-)
+from .correlate import Columns, correlation_columns, nonzero_mask
 from .rgbf import SparseSequence
 
 log = logging.getLogger(__name__)
@@ -95,8 +93,69 @@ class VerificationReport:
         }
 
 
-def _equals_integer(value: CyclotomicInt, n: int) -> bool:
-    return (value - CyclotomicInt.from_integer(value.q, n)).is_zero()
+def _first_failure(flags: Sequence[Sequence[int]], start: int, stop: int) -> int | None:
+    """Smallest u in start..stop-1 at which any flag list is non-zero.
+
+    The one zone scan behind every check: each flag list is indexed by u
+    (see :func:`_signed_flags`), and a truthy entry marks a non-zero value.
+    """
+    hits = reduce(partial(map, or_), (f[start:stop] for f in flags))
+    return next(compress(range(start, stop), hits), None)
+
+
+def _signed_flags(cols: Columns, q: int) -> tuple[list[int], list[int]]:
+    """Non-zero flags of a full profile at u and at -u, each indexed by u >= 0."""
+    flags = nonzero_mask(cols, q)
+    mid = len(flags) // 2
+    return flags[mid:], flags[mid::-1]
+
+
+def _add(p: Columns, r: Columns) -> Columns:
+    return [list(map(add, x, y)) for x, y in zip(p, r)]
+
+
+def _equals_integer(cols: Columns, n: int, q: int) -> bool:
+    """Whether the value at index 0 of the columns equals the integer n."""
+    counts = [[col[0]] for col in cols]
+    counts[0][0] -= n
+    return not nonzero_mask(counts, q)[0]
+
+
+def _auto_columns(c: SparseSequence) -> Columns:
+    """Autocorrelation columns for u >= 0; rho(C; -u) = conj(rho(C; u))."""
+    L = len(c)
+    return [col[L - 1 :] for col in correlation_columns(c, c)]
+
+
+def _require_pair(pair: ScpPair) -> None:
+    if pair.c0.q != pair.c1.q or len(pair.c0) != len(pair.c1):
+        raise ValueError("pair sequences must share length and alphabet")
+
+
+def _pair_profiles(pair: ScpPair) -> tuple[Columns, Columns, tuple[list[int], ...], bool]:
+    """Both autocorrelations (u >= 0), the zone flags, and the peak check.
+
+    The flags are, by u: rho(C_0; u), rho(C_1; u), rho(C_0, C_1; u) and
+    rho(C_0, C_1; -u).
+    """
+    c0, c1 = pair.c0, pair.c1
+    q = c0.q
+    peak = len(c0) - c0.zero_count
+    a0, a1 = _auto_columns(c0), _auto_columns(c1)
+    flags = (
+        nonzero_mask(a0, q),
+        nonzero_mask(a1, q),
+        *_signed_flags(correlation_columns(c0, c1), q),
+    )
+    peak_ok = _equals_integer(a0, peak, q) and _equals_integer(a1, peak, q)
+    return a0, a1, flags, peak_ok
+
+
+def _zone_width(flags: tuple[list[int], ...], peak_ok: bool, L: int) -> int:
+    if not peak_ok or flags[2][0]:
+        return 1
+    fail = _first_failure(flags, 1, L)
+    return L if fail is None else fail
 
 
 def check_scp(pair: ScpPair, claimed_zcz: int | None = None) -> VerificationReport:
@@ -106,57 +165,42 @@ def check_scp(pair: ScpPair, claimed_zcz: int | None = None) -> VerificationRepo
     the smallest offending |u|.
     """
     c0, c1 = pair.c0, pair.c1
-    if c0.q != c1.q or len(c0) != len(c1):
-        raise ValueError("pair sequences must share length and alphabet")
+    _require_pair(pair)
     L = len(c0)
     zcz = pair.params.zcz if claimed_zcz is None else int(claimed_zcz)
     if not 1 <= zcz <= L:
         raise ValueError(f"claimed zone width {zcz} outside 1..{L}")
+    a0, a1, flags, peak_ok = _pair_profiles(pair)
+    q = c0.q
     N = c0.zero_count
     peak = L - N
-
-    p00 = correlation_profile(c0, c0)
-    p11 = correlation_profile(c1, c1)
-    p01 = correlation_profile(c0, c1)
 
     claims = []
     form_ok = c0.has_nonzero_ends and c1.has_nonzero_ends and c1.zero_count == N
     claims.append(ConditionCheck("sequence-form", "-", form_ok))
 
-    peak_ok = _equals_integer(p00[0], peak) and _equals_integer(p11[0], peak)
     claims.append(
         ConditionCheck("autocorrelation-peak", "u=0", peak_ok, None if peak_ok else 0)
     )
 
-    fail: int | None = None
-    for u in range(1, zcz):
-        if not (p00[u].is_zero() and p11[u].is_zero()):
-            fail = u
-            break
+    fail = _first_failure(flags[:2], 1, zcz)
     claims.append(
         ConditionCheck("autocorrelation-zone", f"0<|u|<{zcz}", fail is None, fail)
     )
 
-    fail = None
-    for u in range(zcz):
-        if not (p01[u].is_zero() and p01[-u].is_zero()):
-            fail = u
-            break
+    fail = _first_failure(flags[2:], 0, zcz)
     claims.append(
         ConditionCheck("crosscorrelation-zone", f"|u|<{zcz}", fail is None, fail)
     )
 
-    fail = None
-    if not _equals_integer(p00[0] + p11[0], 2 * peak):
+    sums = _add(a0, a1)
+    if not _equals_integer(sums, 2 * peak, q):
         fail = 0
     else:
-        for u in range(1, L):
-            if not (p00[u] + p11[u]).is_zero():
-                fail = u
-                break
+        fail = _first_failure((nonzero_mask(sums, q),), 1, L)
     claims.append(ConditionCheck("complementary-sum", "all |u|<L", fail is None, fail))
 
-    measured = _zone_width(p00, p11, p01, L, peak)
+    measured = _zone_width(flags, peak_ok, L)
     return VerificationReport(tuple(claims), measured, c0.sparsity)
 
 
@@ -180,68 +224,28 @@ def check_mate(
     zcz = pair.params.zcz if claimed_zcz is None else int(claimed_zcz)
     if not 1 <= zcz <= L:
         raise ValueError(f"claimed zone width {zcz} outside 1..{L}")
+    q = c0.q
 
-    p00 = correlation_profile(c0, s0)
-    p11 = correlation_profile(c1, s1)
-    p01 = correlation_profile(c0, s1)
-    p10 = correlation_profile(c1, s0)
+    p00 = correlation_columns(c0, s0)
+    p11 = correlation_columns(c1, s1)
+    fail = _first_failure(_signed_flags(_add(p00, p11), q), 0, L)
+    claims = [ConditionCheck("cross-sum", "all |u|<L", fail is None, fail)]
 
-    claims = []
-    fail: int | None = None
-    for u in range(L):
-        shifts = (0,) if u == 0 else (u, -u)
-        if not all((p00[s] + p11[s]).is_zero() for s in shifts):
-            fail = u
-            break
-    claims.append(ConditionCheck("cross-sum", "all |u|<L", fail is None, fail))
-
-    fail = None
-    for u in range(zcz):
-        shifts = (0,) if u == 0 else (u, -u)
-        if not all(
-            p[s].is_zero() for p in (p00, p11, p01, p10) for s in shifts
-        ):
-            fail = u
-            break
+    flags = (
+        *_signed_flags(p00, q),
+        *_signed_flags(p11, q),
+        *_signed_flags(correlation_columns(c0, s1), q),
+        *_signed_flags(correlation_columns(c1, s0), q),
+    )
+    # The measured zone ends at the first failure; the claimed zone fails
+    # exactly when that failure lies inside it.
+    first = _first_failure(flags, 0, L)
+    fail = first if first is not None and first < zcz else None
     claims.append(
         ConditionCheck("pairwise-cross-zone", f"|u|<{zcz}", fail is None, fail)
     )
-
-    measured = 0
-    for u in range(L):
-        shifts = (0,) if u == 0 else (u, -u)
-        if all(p[s].is_zero() for p in (p00, p11, p01, p10) for s in shifts):
-            measured = u + 1
-        else:
-            break
-    return VerificationReport(tuple(claims), max(measured, 1), c0.sparsity)
-
-
-def _zone_width(
-    p00: CorrelationProfile,
-    p11: CorrelationProfile,
-    p01: CorrelationProfile,
-    L: int,
-    peak: int,
-) -> int:
-    if not (
-        _equals_integer(p00[0], peak)
-        and _equals_integer(p11[0], peak)
-        and p01[0].is_zero()
-    ):
-        return 1
-    width = 1
-    for u in range(1, L):
-        if (
-            p00[u].is_zero()
-            and p11[u].is_zero()
-            and p01[u].is_zero()
-            and p01[-u].is_zero()
-        ):
-            width = u + 1
-        else:
-            break
-    return width
+    measured = L if first is None else max(first, 1)
+    return VerificationReport(tuple(claims), measured, c0.sparsity)
 
 
 def measure_zcz(pair: ScpPair) -> int:
@@ -250,18 +254,9 @@ def measure_zcz(pair: ScpPair) -> int:
     The constructions guarantee a zone of the derived width; the true zone
     may be wider, and this reports it.
     """
-    c0, c1 = pair.c0, pair.c1
-    if c0.q != c1.q or len(c0) != len(c1):
-        raise ValueError("pair sequences must share length and alphabet")
-    L = len(c0)
-    peak = L - c0.zero_count
-    return _zone_width(
-        correlation_profile(c0, c0),
-        correlation_profile(c1, c1),
-        correlation_profile(c0, c1),
-        L,
-        peak,
-    )
+    _require_pair(pair)
+    _, _, flags, peak_ok = _pair_profiles(pair)
+    return _zone_width(flags, peak_ok, len(pair.c0))
 
 
 def float_cross_correlation(a: SparseSequence, b: SparseSequence, u: int) -> complex:

@@ -20,9 +20,39 @@ from scpkit import (
     correlation_profile,
     cross_correlation,
     cyclotomic_polynomial,
+    params_from_restricted_set,
     write_profile_csv,
 )
-from scpkit.correlate import _cross_correlation_direct
+from scpkit.correlate import (
+    _kronecker_columns,
+    _loop_columns,
+    correlation_columns,
+    nonzero_mask,
+)
+
+KERNEL_PATHS = (_kronecker_columns, _loop_columns)
+
+
+def poly_remainder(coeffs, modulus):
+    """Long division by a monic polynomial, constant terms first."""
+    rem = list(coeffs)
+    deg = len(modulus) - 1
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            for k, m in enumerate(modulus):
+                rem[i - deg + k] -= c * m
+    return rem[:deg]
+
+
+def assert_columns_match_definition(cols, a, b):
+    """The count columns equal the defining sum's counts at every shift."""
+    L = len(a)
+    assert len(cols) == a.q
+    assert all(len(col) == 2 * L - 1 for col in cols)
+    for u in range(-(L - 1), L):
+        counts = tuple(col[u + L - 1] for col in cols)
+        assert counts == cross_correlation(a, b, u).counts
 
 
 class TestCyclotomicPolynomial:
@@ -82,6 +112,31 @@ class TestCyclotomicInt:
                 v = CyclotomicInt(q, counts)
                 assert v.is_zero() == (abs(v.to_complex()) < 1e-9)
 
+    def test_column_rule_matches_long_division(self):
+        # q = 210 reduces some x^e mod Phi_q to coefficients of 2
+        rng = random.Random(11)
+        for q in (2, 4, 6, 10, 12, 210):
+            phi = cyclotomic_polynomial(q)
+            values = [
+                CyclotomicInt(q, tuple(rng.randint(-2, 2) for _ in range(q)))
+                for _ in range(60)
+            ]
+            # every coset of every order-p subgroup sums to zero; with one
+            # more unit it does not
+            for p in (p for p in (2, 3, 5, 7) if q % p == 0):
+                for start in range(q):
+                    counts = [0] * q
+                    for k in range(p):
+                        counts[(start + k * q // p) % q] += 1
+                    values.append(CyclotomicInt(q, tuple(counts)))
+                    counts[rng.randrange(q)] += 1
+                    values.append(CyclotomicInt(q, tuple(counts)))
+            mask = nonzero_mask(list(zip(*(v.counts for v in values))), q)
+            expected = [not any(poly_remainder(v.counts, phi)) for v in values]
+            assert [not flag for flag in mask] == expected
+            # is_zero runs the same rule one value at a time
+            assert [v.is_zero() for v in values[::7]] == expected[::7]
+
     def test_to_complex_values(self):
         assert CyclotomicInt.zero(4).to_complex() == 0j
         assert cmath.isclose(
@@ -121,17 +176,14 @@ class TestCrossCorrelation:
             assert (value - CyclotomicInt.from_integer(q, seq.nonzero_count)).is_zero()
 
     def test_matches_direct_definition(self):
-        # the negative-shift shortcut must agree with the two-branch sums
+        # the kernel's columns agree with the defining sum at every shift
         rng = random.Random(29)
         for _ in range(30):
             q = rng.choice((2, 4, 6))
             L = rng.randint(1, 24)
             a = random_sparse_sequence(rng, q, L)
             b = random_sparse_sequence(rng, q, L)
-            for u in range(-(L - 1), L):
-                lhs = cross_correlation(a, b, u)
-                rhs = _cross_correlation_direct(a, b, u)
-                assert (lhs - rhs).is_zero()
+            assert_columns_match_definition(correlation_columns(a, b), a, b)
 
     def test_profile_matches_single_shift(self):
         rng = random.Random(31)
@@ -144,6 +196,42 @@ class TestCrossCorrelation:
             assert sorted(profile) == list(range(-(L - 1), L))
             for u, value in profile.items():
                 assert (value - cross_correlation(a, b, u)).is_zero()
+        # each kernel path on its own, whichever the size rule would pick:
+        # random pairs, an all-zero sequence, and a constructed pair whose
+        # support of 256 needs two-byte digits in the packed product
+        cases = []
+        for q in (2, 4, 6, 10, 12):
+            for _ in range(6):
+                L = rng.randint(1, 40)
+                cases.append(
+                    (random_sparse_sequence(rng, q, L), random_sparse_sequence(rng, q, L))
+                )
+            cases.append((SparseSequence(q, (None,) * 5), random_sparse_sequence(rng, q, 5)))
+            g = tuple(rng.randrange(q) for _ in range(10))
+            pair = construct_scp(params_from_restricted_set(q, 9, (1,), d=(1,), g=g))
+            assert pair.c0.nonzero_count == 256
+            cases += [(pair.c0, pair.c1), (pair.c0, pair.c0)]
+        for a, b in cases:
+            for path in KERNEL_PATHS:
+                cols = path(a.support(), b.support(), len(a), a.q)
+                assert_columns_match_definition(cols, a, b)
+
+    def test_kernel_path_follows_sizes(self, monkeypatch):
+        import scpkit.correlate as correlate
+
+        taken = []
+        for path in KERNEL_PATHS:
+            monkeypatch.setattr(
+                correlate,
+                path.__name__,
+                lambda *args, path=path: taken.append(path.__name__) or path(*args),
+            )
+        # support 512 at L = 1023, then support 16 at L = 961
+        dense = construct_scp(params_from_restricted_set(2, 10, (1,)))
+        sparse = construct_scp(params_from_restricted_set(6, 10, range(1, 7)))
+        correlation_columns(dense.c0, dense.c1)
+        correlation_columns(sparse.c0, sparse.c1)
+        assert taken == ["_kronecker_columns", "_loop_columns"]
 
     def test_golden_pair_zone_shift(self):
         pair = construct_scp(golden_params())

@@ -174,6 +174,21 @@ class TestTruncation:
             )
             assert restricted_sequence(f, r).has_nonzero_ends
 
+    def test_restricted_sequence_matches_restrict_then_truncate(self):
+        # built from the support only, it must equal the full-table route
+        rng = random.Random(43)
+        for _ in range(60):
+            q = rng.choice((2, 4, 6, 8, 10))
+            m = rng.randint(1, 9)
+            t = rng.randint(0, m - 1)
+            f = random_function(rng, q, m)
+            r = Restriction(
+                tuple(rng.sample(range(1, m + 1), t)),
+                tuple(rng.randint(0, 1) for _ in range(t)),
+            )
+            k0, k1 = truncation_bounds(r, m)
+            assert restricted_sequence(f, r) == truncate(restrict(f, r), k0, k1)
+
     def test_zero_boundary_rejected(self):
         r = Restriction((2,), (0,))
         seq = restrict(F_SMALL, r)

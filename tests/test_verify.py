@@ -11,6 +11,7 @@ import pytest
 
 from conftest import golden_params, mutate_exponent, random_valid_params
 from scpkit import (
+    CyclotomicInt,
     GeneralizedBooleanFunction,
     Restriction,
     ScpPair,
@@ -20,6 +21,7 @@ from scpkit import (
     check_scp,
     construct_mate,
     construct_scp,
+    cross_correlation,
     exhaustive_sweep,
     length_catalog,
     measure_zcz,
@@ -241,6 +243,108 @@ class TestAgainstNaiveReference:
             assert check_mate(pair, mate).passed
             assert naive_mate_verdict(pair, mate, p.zcz)
             done += 1
+
+
+def first(shifts, bad):
+    return next((u for u in shifts if bad(u)), None)
+
+
+def scan_scp(pair: ScpPair, zcz: int) -> tuple[dict, int]:
+    """First failures and measured zone of a pair, one shift at a time."""
+    c0, c1 = pair.c0, pair.c1
+    L, q = len(c0), c0.q
+    peak = L - c0.zero_count
+
+    def rho(a, b, u):
+        return cross_correlation(a, b, u)
+
+    def equals(value, n):
+        return (value - CyclotomicInt.from_integer(q, n)).is_zero()
+
+    def nonzero(*values):
+        return not all(v.is_zero() for v in values)
+
+    peak_ok = equals(rho(c0, c0, 0), peak) and equals(rho(c1, c1, 0), peak)
+    fails = {
+        "sequence-form": None,
+        "autocorrelation-peak": None if peak_ok else 0,
+        "autocorrelation-zone": first(
+            range(1, zcz), lambda u: nonzero(rho(c0, c0, u), rho(c1, c1, u))
+        ),
+        "crosscorrelation-zone": first(
+            range(zcz), lambda u: nonzero(rho(c0, c1, u), rho(c0, c1, -u))
+        ),
+    }
+    if not equals(rho(c0, c0, 0) + rho(c1, c1, 0), 2 * peak):
+        fails["complementary-sum"] = 0
+    else:
+        fails["complementary-sum"] = first(
+            range(1, L), lambda u: nonzero(rho(c0, c0, u) + rho(c1, c1, u))
+        )
+    if not peak_ok or nonzero(rho(c0, c1, 0)):
+        measured = 1
+    else:
+        zone_end = first(
+            range(1, L),
+            lambda u: nonzero(rho(c0, c0, u), rho(c1, c1, u), rho(c0, c1, u), rho(c0, c1, -u)),
+        )
+        measured = L if zone_end is None else zone_end
+    return fails, measured
+
+
+def scan_mate(pair: ScpPair, mate: ScpPair, zcz: int) -> tuple[dict, int]:
+    """First failures and measured zone of a mate check, one shift at a time."""
+    c0, c1, s0, s1 = pair.c0, pair.c1, mate.c0, mate.c1
+    L = len(c0)
+    couples = ((c0, s0), (c1, s1), (c0, s1), (c1, s0))
+
+    def sum_nonzero(u):
+        return any(
+            not (cross_correlation(c0, s0, v) + cross_correlation(c1, s1, v)).is_zero()
+            for v in (u, -u)
+        )
+
+    def any_nonzero(u):
+        return any(
+            not cross_correlation(a, b, v).is_zero() for a, b in couples for v in (u, -u)
+        )
+
+    zone_end = first(range(L), any_nonzero)
+    fails = {
+        "cross-sum": first(range(L), sum_nonzero),
+        "pairwise-cross-zone": first(range(zcz), any_nonzero),
+    }
+    return fails, max(L if zone_end is None else zone_end, 1)
+
+
+class TestPerShiftScan:
+    """check_scp/check_mate agree with a per-shift scan on the defining sums."""
+
+    def test_mutated_pairs_match_scan(self):
+        rng = random.Random(127)
+        for q in (2, 4, 6, 10, 12):
+            done = 0
+            while done < 8:
+                p = random_valid_params(rng, q=q, m_low=3, m_high=6)
+                if not p.supports_mate:
+                    continue
+                pair = construct_scp(p)
+                mate = construct_mate(p)
+                which = rng.randrange(pair.c0.nonzero_count)
+                delta = rng.randrange(1, q)
+                bad = ScpPair(mutate_exponent(pair.c0, which, delta), pair.c1, p)
+                for zcz in (p.zcz, rng.randint(1, len(pair.c0))):
+                    for candidate in (pair, bad):
+                        fails, measured = scan_scp(candidate, zcz)
+                        report = check_scp(candidate, claimed_zcz=zcz)
+                        assert {c.condition: c.first_failure for c in report.claims} == fails
+                        assert report.measured_zcz == measured == measure_zcz(candidate)
+                    for x, y in ((pair, mate), (bad, mate), (mate, bad), (pair, pair)):
+                        fails, measured = scan_mate(x, y, zcz)
+                        report = check_mate(x, y, claimed_zcz=zcz)
+                        assert {c.condition: c.first_failure for c in report.claims} == fails
+                        assert report.measured_zcz == measured
+                done += 1
 
 
 class TestLargerAlphabets:
