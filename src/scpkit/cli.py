@@ -58,35 +58,29 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=_int_list, help="fixed bits for the restricted variables")
         p.add_argument("--g", type=_int_list, help="linear part g_0..g_m")
 
-    def add_out_flags(p: argparse.ArgumentParser, fmt: str) -> None:
+    def add_out_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", metavar="FILE", help="output path (default stdout)")
-        p.add_argument(
-            "--format",
-            choices=("json", "csv"),
-            default=fmt,
-            help=f"output format (this command emits {fmt})",
-        )
 
     p = sub.add_parser("construct", help="build a pair from parameters")
     add_param_flags(p)
-    add_out_flags(p, "json")
+    add_out_flag(p)
 
     p = sub.add_parser("mate", help="build a pair and its orthogonal mate")
     add_param_flags(p)
-    add_out_flags(p, "json")
+    add_out_flag(p)
 
     p = sub.add_parser("verify", help="re-check a pair file from the definitions")
     p.add_argument("pair_file", help="pair JSON produced by construct or mate")
     p.add_argument("--mate", metavar="FILE", help="mate pair JSON to check against")
-    add_out_flags(p, "json")
+    add_out_flag(p)
 
     p = sub.add_parser("correlate", help="export correlation profiles as CSV")
     p.add_argument("pair_file", help="pair JSON produced by construct or mate")
-    add_out_flags(p, "csv")
+    add_out_flag(p)
 
     p = sub.add_parser("catalog", help="build and verify all lengths 15..35")
     p.add_argument("--q", type=int, default=4, help="even alphabet size (default 4)")
-    add_out_flags(p, "csv")
+    add_out_flag(p)
 
     p = sub.add_parser("sweep", help="exhaustively check all parameter combinations")
     p.add_argument("--q", type=_int_list, default=[2, 4], help="alphabet sizes, e.g. 2,4")
@@ -97,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_SEED,
         help=f"base seed for the random linear parts (default {DEFAULT_SEED})",
     )
-    add_out_flags(p, "csv")
+    add_out_flag(p)
 
     return parser
 
@@ -250,11 +244,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
-    expected = {"construct": "json", "mate": "json", "verify": "json"}.get(
-        args.command, "csv"
-    )
-    if getattr(args, "format", expected) != expected:
-        parser.error(f"{args.command} emits only {expected}")
     try:
         return _COMMANDS[args.command](args)
     except json.JSONDecodeError as err:

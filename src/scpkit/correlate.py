@@ -6,13 +6,20 @@ floating-point comparison cannot certify a zero.  Values are therefore
 kept as integer counts c_e of xi^e, never as floats.
 
 One kernel, :func:`correlation_columns`, computes every shift at once as
-q count columns: ``cols[k][u + L - 1]`` is the number of support pairs at
-shift u whose exponent difference is k mod q.  It picks one of two paths
-from the input sizes alone:
+q count columns on the support grid.  Restricting x_1..x_t leaves every
+non-zero entry at origin + 2^t * k, and in general :func:`support_grid`
+finds the coarsest grid origin + stride * k, 0 <= k < n, that holds the
+supports of all sequences given to it.  A support pair then differs by a
+multiple of the stride, so every shift off the grid is an exact zero by
+construction, and the kernel correlates the compressed positions
+(j - origin) / stride: ``cols[e][k]`` is the number of support pairs at
+shift u = stride * (k - (n - 1)) whose exponent difference is e mod q.
+On a grid with origin 0 and stride 1 positions are used as they are.
+The kernel picks one of two paths from the compressed sizes alone:
 
 * Kronecker substitution, when the support products are many against the
-  packed digits (2L - 1)(2q - 1): the loop costs one interpreted step per
-  product, the big-int product of n-byte operands about n^log2(3) machine
+  packed digits (2n - 1)(2q - 1): the loop costs one interpreted step per
+  product, the big-int product of B-byte operands about B^log2(3) machine
   steps (Karatsuba).  Each sequence becomes one big integer in which
   position i is a block of 2q - 1 byte-aligned digits and exponent e a
   digit inside the block; the second sequence is reversed and conjugated.
@@ -21,8 +28,8 @@ from the input sizes alone:
   so no count carries into its neighbour.  Digits are read back through
   ``to_bytes``, never through ``str``, whose conversion is capped at
   ``sys.get_int_max_str_digits()`` digits.
-* The support-pair loop otherwise, O(|supp a| * |supp b|), for long
-  sequences with small supports.
+* The support-pair loop otherwise, O(|supp a| * |supp b|), for supports
+  that are sparse on their grid.
 
 Zero is decided by one exact rule: the counts are reduced modulo the
 q-th cyclotomic polynomial Phi_q with cached rows x^e mod Phi_q, and the
@@ -52,6 +59,8 @@ from .rgbf import SparseSequence, require_even_alphabet
 
 # Count columns of one correlation; see correlation_columns.
 Columns = list[list[int]]
+# (origin, stride, n): the positions origin + stride*k, 0 <= k < n.
+Grid = tuple[int, int, int]
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -250,28 +259,66 @@ def conj_symmetry_check(a: SparseSequence, b: SparseSequence) -> bool:
     return True
 
 
-def correlation_columns(a: SparseSequence, b: SparseSequence) -> Columns:
-    """Every shift's counts at once, as q columns of length 2L - 1.
+def support_grid(*seqs: SparseSequence) -> Grid:
+    """The coarsest grid origin + stride*k, 0 <= k < n, holding every support.
 
-    ``cols[k][u + L - 1]`` counts the support pairs (j in a, i in b) with
-    j - i = u and e_a - e_b = k mod q, so rho(a, b; u) is
-    sum_k cols[k][u + L - 1] xi^k.  Both paths give the same columns; the
-    cheaper one is picked from the sizes (see _KRONECKER_BREAK_EVEN).
+    origin is the first support position of any sequence and stride the
+    gcd of (position - origin) over all of them.  Supports with no common
+    stride, or on one position only, get stride 1.  All-zero sequences
+    hold no position: with none non-zero the grid is (0, 1, 1).
+    """
+    spans = [s.support_span for s in seqs if s.support_span is not None]
+    if not spans:
+        return 0, 1, 1
+    origin = min(first for first, _, _ in spans)
+    stride = math.gcd(*(step for _, step, _ in spans), *(f - origin for f, _, _ in spans))
+    stride = stride or 1
+    return origin, stride, (max(last for _, _, last in spans) - origin) // stride + 1
+
+
+def _on_grid(s: SparseSequence, grid: Grid) -> Sequence[tuple[int, int]]:
+    """The support of s with position j compressed to (j - origin) / stride."""
+    origin, stride, n = grid
+    span = s.support_span
+    if span is not None:
+        first, step, last = span
+        if (first - origin) % stride or step % stride or first < origin or (
+            last > origin + (n - 1) * stride
+        ):
+            raise ValueError(f"grid {grid} does not hold the support span {span}")
+    if origin == 0 and stride == 1:
+        return s.support()
+    return [((j - origin) // stride, e) for j, e in s.support()]
+
+
+def correlation_columns(
+    a: SparseSequence, b: SparseSequence, grid: Grid | None = None
+) -> Columns:
+    """Every shift's counts at once, as q columns of length 2n - 1.
+
+    On the grid (origin, stride, n), default :func:`support_grid` of a and
+    b, index k stands for shift u = stride * (k - (n - 1)):
+    ``cols[e][k]`` counts the support pairs (j in a, i in b) with
+    j - i = u and e_a - e_b = e mod q, so rho(a, b; u) is
+    sum_e cols[e][k] xi^e.  Every shift off the grid is zero.  Both paths
+    give the same columns; the cheaper one is picked from the compressed
+    sizes (see _KRONECKER_BREAK_EVEN).
     """
     _require_compatible(a, b)
-    L, q = len(a), a.q
-    support_a = a.support()
-    support_b = support_a if b is a else b.support()
+    grid = support_grid(a, b) if grid is None else grid
+    n, q = grid[2], a.q
+    support_a = _on_grid(a, grid)
+    support_b = support_a if b is a else _on_grid(b, grid)
     products = len(support_a) * len(support_b)
     width = array(_digit_code(support_a, support_b)).itemsize
-    packed_bytes = (2 * L - 1) * (2 * q - 1) * width
+    packed_bytes = (2 * n - 1) * (2 * q - 1) * width
     if _KRONECKER_BREAK_EVEN * products > packed_bytes**_KARATSUBA_EXPONENT:
-        return _kronecker_columns(support_a, support_b, L, q)
-    return _loop_columns(support_a, support_b, L, q)
+        return _kronecker_columns(support_a, support_b, n, q)
+    return _loop_columns(support_a, support_b, n, q)
 
 
 # The loop costs about one interpreted step per support product, the
-# big-int product of two n-byte operands about n^log2(3) machine steps
+# big-int product of two B-byte operands about B^log2(3) machine steps
 # (Karatsuba).  The Kronecker path is taken when _KRONECKER_BREAK_EVEN
 # times the products exceeds packed_bytes^log2(3).  The constant was
 # measured on CPython 3.11, x86-64, over L = 64..16,384, q in
@@ -295,49 +342,48 @@ def _digit_code(
 def _loop_columns(
     support_a: Sequence[tuple[int, int]],
     support_b: Sequence[tuple[int, int]],
-    L: int,
+    n: int,
     q: int,
 ) -> Columns:
-    """The support-pair loop, writing into one flat list of q columns."""
-    n = 2 * L - 1
-    flat = [0] * (q * n)
+    """The support-pair loop over positions 0..n-1, into one flat list."""
+    size = 2 * n - 1
+    flat = [0] * (q * size)
     # offsets[ea]: flat index of each b entry's pair with an a entry of
     # exponent ea at position 0; position j adds j.
     offsets = [
-        [((ea - eb) % q) * n + L - 1 - i for i, eb in support_b] for ea in range(q)
+        [((ea - eb) % q) * size + n - 1 - i for i, eb in support_b] for ea in range(q)
     ]
     for j, ea in support_a:
         for x in offsets[ea]:
             flat[x + j] += 1
-    return [flat[k * n : (k + 1) * n] for k in range(q)]
+    return [flat[k * size : (k + 1) * size] for k in range(q)]
 
 
 def _kronecker_columns(
     support_a: Sequence[tuple[int, int]],
     support_b: Sequence[tuple[int, int]],
-    L: int,
+    n: int,
     q: int,
 ) -> Columns:
-    """Kronecker substitution: one big-int product gives every count.
+    """Kronecker substitution over positions 0..n-1: one big-int product.
 
     Position j of a with exponent e is digit j(2q-1) + e; position i of b,
-    reversed and conjugated, is digit (L-1-i)(2q-1) + q-1-e.  Digit d of
-    block s of the product then counts the pairs at shift s - (L-1) with
+    reversed and conjugated, is digit (n-1-i)(2q-1) + q-1-e.  Digit d of
+    block s of the product then counts the pairs at shift s - (n-1) with
     exponent difference d - (q-1).
     """
-    n = 2 * L - 1
     code = _digit_code(support_a, support_b)
     width = array(code).itemsize
     block = 2 * q - 1
-    packed_a = bytearray(L * block * width)
-    packed_b = bytearray(L * block * width)
+    packed_a = bytearray(n * block * width)
+    packed_b = bytearray(n * block * width)
     # little-endian digits: a digit holding 1 has it in its first byte
     for j, e in support_a:
         packed_a[(j * block + e) * width] = 1
     for i, e in support_b:
-        packed_b[((L - 1 - i) * block + q - 1 - e) * width] = 1
+        packed_b[((n - 1 - i) * block + q - 1 - e) * width] = 1
     product = int.from_bytes(packed_a, "little") * int.from_bytes(packed_b, "little")
-    digits = array(code, product.to_bytes(n * block * width, "little"))
+    digits = array(code, product.to_bytes((2 * n - 1) * block * width, "little"))
     if sys.byteorder == "big":
         digits.byteswap()
     # difference k >= 0 sits at digit q-1+k, difference k-q at digit k-1
@@ -352,14 +398,15 @@ def correlation_profile(a: SparseSequence, b: SparseSequence) -> CorrelationProf
 
     Built from :func:`correlation_columns`; a support pair (j in a, i in
     b) contributes xi^(e_a - e_b) to shift u = j - i, which reproduces both
-    branches of the definition.
+    branches of the definition.  Shifts off the support grid are zero.
     """
-    cols = correlation_columns(a, b)
+    grid = support_grid(a, b)
+    _, stride, n = grid
     L, q = len(a), a.q
-    return {
-        u: CyclotomicInt(q, counts)
-        for u, counts in zip(range(-(L - 1), L), zip(*cols))
-    }
+    profile = dict.fromkeys(range(-(L - 1), L), CyclotomicInt.zero(q))
+    for k, counts in enumerate(zip(*correlation_columns(a, b, grid))):
+        profile[stride * (k - (n - 1))] = CyclotomicInt(q, counts)
+    return profile
 
 
 def write_profile_csv(out: IO[str], profiles: Mapping[str, CorrelationProfile]) -> None:

@@ -15,8 +15,10 @@ table yields the sparse sequences the construct module builds pairs from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 Entry = Optional[int]  # None is a zero entry; an int e stands for exp(2*pi*j*e/q)
@@ -48,6 +50,8 @@ class GeneralizedBooleanFunction:
     q: int
     m: int
     terms: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    # (coefficient, bit mask of the monomial's variables), one per term
+    _masks: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require_even_alphabet(self.q)
@@ -61,24 +65,24 @@ class GeneralizedBooleanFunction:
                     raise ValueError(f"variable index {v} outside 1..{self.m}")
             norm.append((coeff % self.q, indices))
         object.__setattr__(self, "terms", tuple(norm))
+        object.__setattr__(
+            self,
+            "_masks",
+            tuple((c, sum(1 << (v - 1) for v in indices)) for c, indices in norm),
+        )
 
     def evaluate(self, assignment: Sequence[int]) -> int:
         """Value at a binary assignment (assignment[l-1] is x_l)."""
         if len(assignment) != self.m:
             raise ValueError(f"assignment needs {self.m} bits, got {len(assignment)}")
-        total = 0
-        for coeff, variables in self.terms:
-            if all(assignment[v - 1] for v in variables):
-                total += coeff
-        return total % self.q
+        return self.evaluate_index(sum(1 << l for l, bit in enumerate(assignment) if bit))
 
     def evaluate_index(self, i: int) -> int:
-        """Value at table index i; bit l-1 of i assigns x_l."""
-        total = 0
-        for coeff, variables in self.terms:
-            if all((i >> (v - 1)) & 1 for v in variables):
-                total += coeff
-        return total % self.q
+        """Value at table index i; bit l-1 of i assigns x_l.
+
+        A monomial is 1 exactly when every bit of its mask is set in i.
+        """
+        return sum(c for c, mask in self._masks if i & mask == mask) % self.q
 
     def values(self) -> list[int]:
         """The full value table (f_0, ..., f_{2^m - 1})."""
@@ -141,7 +145,8 @@ class SparseSequence:
 
     Entries hold exponents (None for a zero).  Truncated sequences start
     and end with a non-zero entry; use :func:`truncate` to establish that
-    invariant, and ``has_nonzero_ends`` to test it.
+    invariant, and ``has_nonzero_ends`` to test it.  The support and its
+    span are computed once, on first use.
     """
 
     q: int
@@ -161,13 +166,28 @@ class SparseSequence:
 
     def support(self) -> tuple[tuple[int, int], ...]:
         """(index, exponent) pairs of the non-zero entries."""
-        return tuple(
-            (i, e) for i, e in enumerate(self.entries) if e is not None
-        )
+        return self._support
+
+    @cached_property
+    def _support(self) -> tuple[tuple[int, int], ...]:
+        return tuple((i, e) for i, e in enumerate(self.entries) if e is not None)
+
+    @cached_property
+    def support_span(self) -> tuple[int, int, int] | None:
+        """(first, stride, last) of the support positions; None if all zero.
+
+        The stride is the gcd of (position - first) over the support: every
+        non-zero entry sits at first + stride*k.  It is 0 for a single
+        non-zero entry.
+        """
+        if not self._support:
+            return None
+        first, last = self._support[0][0], self._support[-1][0]
+        return first, math.gcd(*(i - first for i, _ in self._support)), last
 
     @property
     def nonzero_count(self) -> int:
-        return sum(1 for e in self.entries if e is not None)
+        return len(self._support)
 
     @property
     def zero_count(self) -> int:

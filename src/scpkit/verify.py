@@ -41,7 +41,7 @@ from .construct import (
     construct_scp,
     params_from_restricted_set,
 )
-from .correlate import Columns, correlation_columns, nonzero_mask
+from .correlate import Columns, Grid, correlation_columns, nonzero_mask, support_grid
 from .rgbf import SparseSequence
 
 log = logging.getLogger(__name__)
@@ -93,18 +93,26 @@ class VerificationReport:
         }
 
 
-def _first_failure(flags: Sequence[Sequence[int]], start: int, stop: int) -> int | None:
+def _first_failure(
+    flags: Sequence[Sequence[int]], start: int, stop: int, stride: int
+) -> int | None:
     """Smallest u in start..stop-1 at which any flag list is non-zero.
 
-    The one zone scan behind every check: each flag list is indexed by u
-    (see :func:`_signed_flags`), and a truthy entry marks a non-zero value.
+    The one zone scan behind every check: each flag list is indexed by
+    u / stride (see :func:`_signed_flags`), and a truthy entry marks a
+    non-zero value.  Shifts off the grid are zero and never fail.
     """
-    hits = reduce(partial(map, or_), (f[start:stop] for f in flags))
-    return next(compress(range(start, stop), hits), None)
+    lo, hi = -(-start // stride), -(-stop // stride)
+    hits = reduce(partial(map, or_), (f[lo:hi] for f in flags))
+    k = next(compress(range(lo, hi), hits), None)
+    return None if k is None else k * stride
 
 
 def _signed_flags(cols: Columns, q: int) -> tuple[list[int], list[int]]:
-    """Non-zero flags of a full profile at u and at -u, each indexed by u >= 0."""
+    """Non-zero flags of a full profile at u and at -u, each indexed by u >= 0.
+
+    The index is u / stride on the grid the columns were computed on.
+    """
     flags = nonzero_mask(cols, q)
     mid = len(flags) // 2
     return flags[mid:], flags[mid::-1]
@@ -121,10 +129,10 @@ def _equals_integer(cols: Columns, n: int, q: int) -> bool:
     return not nonzero_mask(counts, q)[0]
 
 
-def _auto_columns(c: SparseSequence) -> Columns:
+def _auto_columns(c: SparseSequence, grid: Grid) -> Columns:
     """Autocorrelation columns for u >= 0; rho(C; -u) = conj(rho(C; u))."""
-    L = len(c)
-    return [col[L - 1 :] for col in correlation_columns(c, c)]
+    n = grid[2]
+    return [col[n - 1 :] for col in correlation_columns(c, c, grid)]
 
 
 def _require_pair(pair: ScpPair) -> None:
@@ -132,29 +140,33 @@ def _require_pair(pair: ScpPair) -> None:
         raise ValueError("pair sequences must share length and alphabet")
 
 
-def _pair_profiles(pair: ScpPair) -> tuple[Columns, Columns, tuple[list[int], ...], bool]:
-    """Both autocorrelations (u >= 0), the zone flags, and the peak check.
+def _pair_profiles(
+    pair: ScpPair,
+) -> tuple[Columns, Columns, tuple[list[int], ...], bool, int]:
+    """Both autocorrelations (u >= 0), the zone flags, the peak check, the stride.
 
-    The flags are, by u: rho(C_0; u), rho(C_1; u), rho(C_0, C_1; u) and
-    rho(C_0, C_1; -u).
+    Everything is on the one support grid of C_0 and C_1, so the columns
+    add index by index.  The flags are, by u / stride: rho(C_0; u),
+    rho(C_1; u), rho(C_0, C_1; u) and rho(C_0, C_1; -u).
     """
     c0, c1 = pair.c0, pair.c1
     q = c0.q
     peak = len(c0) - c0.zero_count
-    a0, a1 = _auto_columns(c0), _auto_columns(c1)
+    grid = support_grid(c0, c1)
+    a0, a1 = _auto_columns(c0, grid), _auto_columns(c1, grid)
     flags = (
         nonzero_mask(a0, q),
         nonzero_mask(a1, q),
-        *_signed_flags(correlation_columns(c0, c1), q),
+        *_signed_flags(correlation_columns(c0, c1, grid), q),
     )
     peak_ok = _equals_integer(a0, peak, q) and _equals_integer(a1, peak, q)
-    return a0, a1, flags, peak_ok
+    return a0, a1, flags, peak_ok, grid[1]
 
 
-def _zone_width(flags: tuple[list[int], ...], peak_ok: bool, L: int) -> int:
+def _zone_width(flags: tuple[list[int], ...], peak_ok: bool, L: int, stride: int) -> int:
     if not peak_ok or flags[2][0]:
         return 1
-    fail = _first_failure(flags, 1, L)
+    fail = _first_failure(flags, 1, L, stride)
     return L if fail is None else fail
 
 
@@ -170,7 +182,7 @@ def check_scp(pair: ScpPair, claimed_zcz: int | None = None) -> VerificationRepo
     zcz = pair.params.zcz if claimed_zcz is None else int(claimed_zcz)
     if not 1 <= zcz <= L:
         raise ValueError(f"claimed zone width {zcz} outside 1..{L}")
-    a0, a1, flags, peak_ok = _pair_profiles(pair)
+    a0, a1, flags, peak_ok, stride = _pair_profiles(pair)
     q = c0.q
     N = c0.zero_count
     peak = L - N
@@ -183,12 +195,12 @@ def check_scp(pair: ScpPair, claimed_zcz: int | None = None) -> VerificationRepo
         ConditionCheck("autocorrelation-peak", "u=0", peak_ok, None if peak_ok else 0)
     )
 
-    fail = _first_failure(flags[:2], 1, zcz)
+    fail = _first_failure(flags[:2], 1, zcz, stride)
     claims.append(
         ConditionCheck("autocorrelation-zone", f"0<|u|<{zcz}", fail is None, fail)
     )
 
-    fail = _first_failure(flags[2:], 0, zcz)
+    fail = _first_failure(flags[2:], 0, zcz, stride)
     claims.append(
         ConditionCheck("crosscorrelation-zone", f"|u|<{zcz}", fail is None, fail)
     )
@@ -197,10 +209,10 @@ def check_scp(pair: ScpPair, claimed_zcz: int | None = None) -> VerificationRepo
     if not _equals_integer(sums, 2 * peak, q):
         fail = 0
     else:
-        fail = _first_failure((nonzero_mask(sums, q),), 1, L)
+        fail = _first_failure((nonzero_mask(sums, q),), 1, L, stride)
     claims.append(ConditionCheck("complementary-sum", "all |u|<L", fail is None, fail))
 
-    measured = _zone_width(flags, peak_ok, L)
+    measured = _zone_width(flags, peak_ok, L, stride)
     return VerificationReport(tuple(claims), measured, c0.sparsity)
 
 
@@ -225,21 +237,24 @@ def check_mate(
     if not 1 <= zcz <= L:
         raise ValueError(f"claimed zone width {zcz} outside 1..{L}")
     q = c0.q
+    # one grid for all four sequences, so p00 and p11 add index by index
+    grid = support_grid(c0, c1, s0, s1)
+    stride = grid[1]
 
-    p00 = correlation_columns(c0, s0)
-    p11 = correlation_columns(c1, s1)
-    fail = _first_failure(_signed_flags(_add(p00, p11), q), 0, L)
+    p00 = correlation_columns(c0, s0, grid)
+    p11 = correlation_columns(c1, s1, grid)
+    fail = _first_failure(_signed_flags(_add(p00, p11), q), 0, L, stride)
     claims = [ConditionCheck("cross-sum", "all |u|<L", fail is None, fail)]
 
     flags = (
         *_signed_flags(p00, q),
         *_signed_flags(p11, q),
-        *_signed_flags(correlation_columns(c0, s1), q),
-        *_signed_flags(correlation_columns(c1, s0), q),
+        *_signed_flags(correlation_columns(c0, s1, grid), q),
+        *_signed_flags(correlation_columns(c1, s0, grid), q),
     )
     # The measured zone ends at the first failure; the claimed zone fails
     # exactly when that failure lies inside it.
-    first = _first_failure(flags, 0, L)
+    first = _first_failure(flags, 0, L, stride)
     fail = first if first is not None and first < zcz else None
     claims.append(
         ConditionCheck("pairwise-cross-zone", f"|u|<{zcz}", fail is None, fail)
@@ -255,8 +270,8 @@ def measure_zcz(pair: ScpPair) -> int:
     may be wider, and this reports it.
     """
     _require_pair(pair)
-    _, _, flags, peak_ok = _pair_profiles(pair)
-    return _zone_width(flags, peak_ok, len(pair.c0))
+    _, _, flags, peak_ok, stride = _pair_profiles(pair)
+    return _zone_width(flags, peak_ok, len(pair.c0), stride)
 
 
 def float_cross_correlation(a: SparseSequence, b: SparseSequence, u: int) -> complex:

@@ -86,3 +86,22 @@ def mutate_exponent(seq: SparseSequence, which_nonzero: int, delta: int) -> Spar
     idx = [i for i, e in enumerate(entries) if e is not None][which_nonzero]
     entries[idx] = (entries[idx] + delta) % seq.q
     return SparseSequence(seq.q, tuple(entries))
+
+
+def mutate_support(rng: random.Random, seq: SparseSequence, kind: str) -> SparseSequence:
+    """Change which entries are zero, by kind of mutation.
+
+    "first" clears the first non-zero entry, "clear" a random one, and
+    "fill" gives a random zero entry an exponent (no change without
+    zeros).  These move the support grid: clearing the first entry moves
+    its origin, filling a zero between grid points shrinks its stride.
+    """
+    entries = list(seq.entries)
+    nonzero = [i for i, e in enumerate(entries) if e is not None]
+    zeros = [i for i, e in enumerate(entries) if e is None]
+    if kind == "fill":
+        if zeros:
+            entries[rng.choice(zeros)] = rng.randrange(seq.q)
+    else:
+        entries[nonzero[0] if kind == "first" else rng.choice(nonzero)] = None
+    return SparseSequence(seq.q, tuple(entries))

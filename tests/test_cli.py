@@ -177,9 +177,13 @@ def test_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_wrong_format_rejected(tmp_path, golden_params_file):
-    with pytest.raises(SystemExit):
-        main(["construct", "--params", str(golden_params_file), "--format", "csv"])
+def test_wrong_format_rejected(capsys, golden_params_file):
+    # each command writes one format; there is no --format flag to choose it
+    for fmt in ("csv", "json"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["construct", "--params", str(golden_params_file), "--format", fmt])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 def test_stdout_default(capsys, golden_params_file):

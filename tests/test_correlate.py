@@ -26,8 +26,10 @@ from scpkit import (
 from scpkit.correlate import (
     _kronecker_columns,
     _loop_columns,
+    _on_grid,
     correlation_columns,
     nonzero_mask,
+    support_grid,
 )
 
 KERNEL_PATHS = (_kronecker_columns, _loop_columns)
@@ -45,14 +47,25 @@ def poly_remainder(coeffs, modulus):
     return rem[:deg]
 
 
-def assert_columns_match_definition(cols, a, b):
-    """The count columns equal the defining sum's counts at every shift."""
+def assert_columns_match_definition(cols, a, b, grid=None):
+    """The count columns equal the defining sum's counts at every shift.
+
+    Index k of the columns is shift stride * (k - (n - 1)) on the grid
+    (origin, stride, n), by default the plain positions (0, 1, L); every
+    shift off the grid must have no support pair at all.
+    """
     L = len(a)
+    _, stride, n = (0, 1, L) if grid is None else grid
     assert len(cols) == a.q
-    assert all(len(col) == 2 * L - 1 for col in cols)
+    assert all(len(col) == 2 * n - 1 for col in cols)
+    on_grid = {stride * (k - (n - 1)): k for k in range(2 * n - 1)}
+    assert max(on_grid) < L
     for u in range(-(L - 1), L):
-        counts = tuple(col[u + L - 1] for col in cols)
-        assert counts == cross_correlation(a, b, u).counts
+        counts = cross_correlation(a, b, u).counts
+        if u in on_grid:
+            assert tuple(col[on_grid[u]] for col in cols) == counts
+        else:
+            assert counts == (0,) * a.q
 
 
 class TestCyclotomicPolynomial:
@@ -183,7 +196,8 @@ class TestCrossCorrelation:
             L = rng.randint(1, 24)
             a = random_sparse_sequence(rng, q, L)
             b = random_sparse_sequence(rng, q, L)
-            assert_columns_match_definition(correlation_columns(a, b), a, b)
+            cols = correlation_columns(a, b)
+            assert_columns_match_definition(cols, a, b, support_grid(a, b))
 
     def test_profile_matches_single_shift(self):
         rng = random.Random(31)
@@ -226,9 +240,13 @@ class TestCrossCorrelation:
                 path.__name__,
                 lambda *args, path=path: taken.append(path.__name__) or path(*args),
             )
-        # support 512 at L = 1023, then support 16 at L = 961
-        dense = construct_scp(params_from_restricted_set(2, 10, (1,)))
-        sparse = construct_scp(params_from_restricted_set(6, 10, range(1, 7)))
+        # support 512 at L = 1022, then support 16 at L = 898; x_1 stays
+        # free in both, so the grid has stride 1 and the sizes are the plain
+        # ones
+        dense = construct_scp(params_from_restricted_set(2, 10, (2,)))
+        sparse = construct_scp(params_from_restricted_set(6, 10, range(2, 8)))
+        assert support_grid(dense.c0, dense.c1) == (0, 1, 1022)
+        assert support_grid(sparse.c0, sparse.c1) == (0, 1, 898)
         correlation_columns(dense.c0, dense.c1)
         correlation_columns(sparse.c0, sparse.c1)
         assert taken == ["_kronecker_columns", "_loop_columns"]
@@ -250,6 +268,96 @@ class TestCrossCorrelation:
             cross_correlation(SparseSequence(4, (0, 1)), SparseSequence(4, (0,)), 0)
         with pytest.raises(ValueError, match="alphabets"):
             cross_correlation(SparseSequence(4, (0,)), SparseSequence(2, (0,)), 0)
+
+
+class TestSupportGrid:
+    @staticmethod
+    def sequence(q, L, positions):
+        entries = [None] * L
+        for k, j in enumerate(positions):
+            entries[j] = k % q
+        return SparseSequence(q, tuple(entries))
+
+    def assert_kernel_on_grid(self, a, b, grid):
+        """Both paths on the compressed supports, and the profile, match
+        the defining sum at every shift, and are zero off the grid."""
+        n = grid[2]
+        assert_columns_match_definition(correlation_columns(a, b, grid), a, b, grid)
+        for path in KERNEL_PATHS:
+            cols = path(_on_grid(a, grid), _on_grid(b, grid), n, a.q)
+            assert_columns_match_definition(cols, a, b, grid)
+        profile = correlation_profile(a, b)
+        assert sorted(profile) == list(range(-(len(a) - 1), len(a)))
+        for u, value in profile.items():
+            assert value.counts == cross_correlation(a, b, u).counts
+
+    def test_all_zero_sequence(self):
+        zero = SparseSequence(4, (None,) * 5)
+        other = self.sequence(4, 5, (1, 3))
+        assert zero.support_span is None
+        assert support_grid(zero) == (0, 1, 1)
+        assert support_grid(zero, zero) == (0, 1, 1)
+        assert support_grid(zero, other) == support_grid(other) == (1, 2, 2)
+        self.assert_kernel_on_grid(zero, zero, (0, 1, 1))
+        self.assert_kernel_on_grid(zero, other, (1, 2, 2))
+
+    def test_single_entry(self):
+        single = self.sequence(6, 7, (4,))
+        assert single.support_span == (4, 0, 4)
+        assert support_grid(single) == (4, 1, 1)
+        self.assert_kernel_on_grid(single, single, (4, 1, 1))
+        other = self.sequence(6, 7, (0, 2, 6))
+        assert support_grid(single, other) == (0, 2, 4)
+        self.assert_kernel_on_grid(single, other, (0, 2, 4))
+
+    def test_origins_apart_by_a_non_multiple_of_the_strides(self):
+        # each sequence has stride 4; their origins differ by 2, so the
+        # common grid has stride 2
+        a = self.sequence(4, 13, (0, 4, 8, 12))
+        b = self.sequence(4, 13, (2, 6, 10))
+        assert a.support_span == (0, 4, 12) and b.support_span == (2, 4, 10)
+        assert support_grid(a) == (0, 4, 4) and support_grid(b) == (2, 4, 3)
+        assert support_grid(a, b) == (0, 2, 7)
+        self.assert_kernel_on_grid(a, b, (0, 2, 7))
+        self.assert_kernel_on_grid(b, a, (0, 2, 7))
+        # strides 3 and 6, origins 1 and 3: no common stride
+        c = self.sequence(2, 13, (1, 4, 7, 10))
+        d = self.sequence(2, 13, (3, 9))
+        assert support_grid(c, d) == (1, 1, 10)
+        self.assert_kernel_on_grid(c, d, (1, 1, 10))
+
+    def test_group_grid_holds_every_support(self):
+        rng = random.Random(61)
+        for q in (2, 4, 6):
+            for _ in range(20):
+                L = rng.randint(1, 40)
+                stride = rng.choice((1, 2, 3, 4, 8))
+                seqs = []
+                for _ in range(rng.randint(1, 4)):
+                    origin = rng.randrange(min(stride, L))
+                    grid_points = range(origin, L, stride)
+                    k = rng.randint(0, len(grid_points))
+                    seqs.append(self.sequence(q, L, sorted(rng.sample(grid_points, k))))
+                grid = support_grid(*seqs)
+                origin, step, n = grid
+                positions = {j for s in seqs for j, _ in s.support()}
+                assert positions <= {origin + step * k for k in range(n)}
+                if len(positions) > 1:
+                    assert min(positions) == origin and max(positions) == origin + step * (n - 1)
+                    assert math.gcd(*(j - origin for j in positions)) == step
+                for a in seqs:
+                    for b in seqs:
+                        assert_columns_match_definition(
+                            correlation_columns(a, b, grid), a, b, grid
+                        )
+
+    def test_grid_not_holding_the_support_rejected(self):
+        a = self.sequence(4, 9, (0, 4, 8))
+        b = self.sequence(4, 9, (2, 6))
+        with pytest.raises(ValueError, match="grid"):
+            correlation_columns(a, b, support_grid(a))
+        with pytest.raises(ValueError, match="grid"):
+            correlation_columns(a, a, (0, 4, 2))
 
 
 class TestConjSymmetry:

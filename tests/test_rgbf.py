@@ -67,6 +67,29 @@ class TestEvaluate:
         f = GeneralizedBooleanFunction(4, 1, ((1, (1,)), (1, (1,))))
         assert f.values() == [0, 2]
 
+    def test_mask_evaluation_matches_term_by_term_definition(self):
+        # monomials drawn with replacement repeat indices inside one term,
+        # and a short monomial list repeats whole terms
+        rng = random.Random(17)
+        for q in (2, 4, 6, 10):
+            for _ in range(25):
+                m = rng.randint(1, 7)
+                pool = [
+                    tuple(rng.choice(range(1, m + 1)) for _ in range(rng.randint(0, 4)))
+                    for _ in range(3)
+                ]
+                terms = tuple(
+                    (rng.randrange(-2 * q, 2 * q), rng.choice(pool)) for _ in range(8)
+                )
+                f = GeneralizedBooleanFunction(q, m, terms)
+                for i in range(1 << m):
+                    bits = [(i >> (v - 1)) & 1 for v in range(1, m + 1)]
+                    expected = sum(
+                        c for c, variables in terms if all(bits[v - 1] for v in variables)
+                    ) % q
+                    assert f.evaluate_index(i) == expected
+                    assert f.evaluate(bits) == expected
+
     def test_odd_q_rejected(self):
         with pytest.raises(ValueError, match="even"):
             GeneralizedBooleanFunction(3, 2)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import golden_params, mutate_exponent, random_valid_params
+from conftest import golden_params, mutate_exponent, mutate_support, random_valid_params
 from scpkit import (
     CyclotomicInt,
     GeneralizedBooleanFunction,
@@ -27,6 +27,7 @@ from scpkit import (
     measure_zcz,
     restricted_sequence,
 )
+from scpkit.correlate import support_grid
 
 TOL = 1e-9
 
@@ -322,6 +323,7 @@ class TestPerShiftScan:
 
     def test_mutated_pairs_match_scan(self):
         rng = random.Random(127)
+        grids_moved = strided = 0
         for q in (2, 4, 6, 10, 12):
             done = 0
             while done < 8:
@@ -333,18 +335,51 @@ class TestPerShiftScan:
                 which = rng.randrange(pair.c0.nonzero_count)
                 delta = rng.randrange(1, q)
                 bad = ScpPair(mutate_exponent(pair.c0, which, delta), pair.c1, p)
+                # support mutations move the grid's origin (both first
+                # entries cleared) or shrink its stride (a zero filled), and
+                # put a mate on another grid than its pair
+                shifted = ScpPair(
+                    mutate_support(rng, pair.c0, "first"),
+                    mutate_support(rng, pair.c1, "first"),
+                    p,
+                )
+                filled = ScpPair(mutate_support(rng, pair.c0, "fill"), pair.c1, p)
+                moved_mate = ScpPair(
+                    mutate_support(rng, mate.c0, "clear"),
+                    mutate_support(rng, mate.c1, "fill"),
+                    p,
+                )
+                grid = support_grid(pair.c0, pair.c1)
+                strided += grid[1] > 1
+                for moved in (shifted, filled, moved_mate):
+                    grids_moved += support_grid(*pair_seqs(moved)) != grid
+                grids_moved += support_grid(*pair_seqs(pair, moved_mate)) != grid
                 for zcz in (p.zcz, rng.randint(1, len(pair.c0))):
-                    for candidate in (pair, bad):
+                    for candidate in (pair, bad, shifted, filled, moved_mate):
                         fails, measured = scan_scp(candidate, zcz)
                         report = check_scp(candidate, claimed_zcz=zcz)
                         assert {c.condition: c.first_failure for c in report.claims} == fails
                         assert report.measured_zcz == measured == measure_zcz(candidate)
-                    for x, y in ((pair, mate), (bad, mate), (mate, bad), (pair, pair)):
+                    for x, y in (
+                        (pair, mate),
+                        (bad, mate),
+                        (mate, bad),
+                        (pair, pair),
+                        (pair, moved_mate),
+                        (shifted, mate),
+                        (filled, moved_mate),
+                    ):
                         fails, measured = scan_mate(x, y, zcz)
                         report = check_mate(x, y, claimed_zcz=zcz)
                         assert {c.condition: c.first_failure for c in report.claims} == fails
                         assert report.measured_zcz == measured
                 done += 1
+        # the inputs reach both sides of the grid decision
+        assert strided >= 10 and grids_moved >= 60
+
+
+def pair_seqs(*pairs: ScpPair) -> list[SparseSequence]:
+    return [seq for pair in pairs for seq in (pair.c0, pair.c1)]
 
 
 class TestLargerAlphabets:
